@@ -17,8 +17,8 @@ trajectory:
   committed baseline (``benchmarks/perf/baseline.json``);
 * a gain gate (``--min-speedup NAME=RATIO``, repeatable): fail unless
   the recorded speedup vs the committed baseline reaches ``RATIO`` —
-  how CI pins a claimed kernel improvement (e.g. the calendar-queue
-  kernel's events/s multiple) instead of letting it silently erode.
+  how CI pins a claimed kernel improvement (e.g. the kernel's events/s
+  multiple) instead of letting it silently erode.
 
 Usage::
 
@@ -306,7 +306,7 @@ def bench_clients(
     measured in-run. The committed baseline entry holds the *per-actor*
     number, so CI's ``--min-speedup clients_sessions_per_sec=8`` gate
     pins the flyweight multiple the same way ``kernel_events_per_sec``
-    pins the calendar-queue kernel against the binary-heap baseline.
+    pins the kernel against its committed baseline.
     """
     from .clients import run_per_actor_point, run_population_point
 

@@ -459,14 +459,16 @@ class RingCoordinator(Process):
 
     def _ack_decided_batch(self, batch: DataBatch) -> None:
         """Advance the decided watermark for every sender in the batch."""
-        senders = set()
+        # Insertion-ordered, not a set: acks go out in first-appearance
+        # order, independent of the per-process string-hash salt.
+        senders: dict[str, None] = {}
         for value in batch.values:
             # A redirected value carries a seq from the sender's stream on
             # the ring it was bounced off — folding it into this ring's
             # watermark would ack (and drop) undecided local submissions.
             # Its origin coordinator is acked via note_foreign_decide.
             if value.sender and not value.redirected:
-                senders.add(value.sender)
+                senders[value.sender] = None
                 acked = max(self._submit_acked.get(value.sender, -1), value.seq)
                 self._submit_acked[value.sender] = acked
         for sender in senders:

@@ -1,40 +1,32 @@
-"""Batched completion delivery for the resource models.
+"""Batched completion delivery: one kernel event for a FIFO of callbacks.
 
-Every FIFO resource in the simulator (NIC queue, CPU, disk drain) hands
-out completion times that are **non-decreasing**: jobs finish in the
-order they were accepted. The kernel does not need one calendar entry
-per completion to honour that — it needs one entry for the *earliest*
-pending completion, and the rest can ride behind it.
-
-:class:`CompletionStrip` exploits exactly this. Completions are appended
-to a per-resource FIFO; only the head is *armed* as a real kernel event.
-When the head fires, the sweep keeps draining the FIFO inline — clock
+:class:`CompletionStrip` holds completions whose times are
+**non-decreasing** and arms only the head as a real kernel event. When
+the head fires, the sweep keeps draining the FIFO inline — clock
 forwarded, probe mirrored, execution counter bumped — for as long as
 each next completion still precedes whatever the kernel would fire next
 (checked against the queue's exact ``(time, seq)`` frontier via
 ``peek_entry``) and stays inside an active ``run(until=...)`` window.
 The first completion that doesn't, re-arms the strip and yields.
 
-Determinism is bit-exact with one-event-per-completion scheduling:
+Delivery order is bit-exact with one-event-per-completion scheduling:
+each completion reserves its kernel sequence number at ``post_at`` time,
+and a swept completion fires only when its ``(time, seq)`` key precedes
+the kernel's next entry.
 
-* Each completion reserves its kernel sequence number at submit time —
-  the same program point where ``post_at`` used to draw it — so the
-  global ``(time, seq)`` order of callbacks is unchanged.
-* A swept completion fires only when its ``(time, seq)`` key precedes
-  the kernel's next entry, which is exactly when the kernel itself
-  would have fired it.
-
-What changes is the *cost*: a burst of same-resource completions (a
-multicast fan-in serializing at one learner's ingress NIC, a batch of
-disk acks) is one calendar push and one kernel dispatch instead of one
-per message leg. ``Simulator.pending_events`` counts the armed head,
-not the queued tail, and a ``max_events`` budget counts the dispatch,
-not the swept riders (which still count in ``events_executed``).
+No resource model uses it: on the binary-heap kernel the strips measured
+neutral end to end, so FIFO servers, disks, NICs and WAN links post
+every completion as its own kernel event. The strip stays a standalone utility because
+the ``mrpbench`` benchmark imports and instruments it. While a strip is
+in use, ``Simulator.pending_events`` counts its armed head, not its
+queued tail, and a ``max_events`` budget counts the dispatch, not the
+swept riders (which still count in ``events_executed``).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable
 
 from .simulator import Simulator
@@ -68,22 +60,20 @@ class CompletionStrip:
 
         Same ordering semantics as ``Simulator.post_at`` (a kernel seq is
         reserved here and now), but only the strip's head occupies the
-        calendar. An entry arriving out of FIFO order — possible when a
-        fault schedule changes a delay parameter mid-run, e.g. the
-        propagation component of a NIC's switched-leg times — skips the
-        strip and lands on the calendar as its own event, which is
-        bit-exact with unbatched scheduling.
+        kernel queue. An entry arriving out of FIFO order skips the strip
+        and is queued as its own event, which is bit-exact with unbatched
+        scheduling.
         """
         sim = self.sim
         seq = next(sim._seq)
         pending = self._pending
         if pending and time < pending[-1][0]:
-            sim._queue._push_entry((time, seq, fn, args, None))
+            heappush(sim._heap, (time, seq, fn, args, None))
             return
         pending.append((time, seq, fn, args))
         if not self._armed:
             self._armed = True
-            sim._queue._push_entry((time, seq, self._sweep, (), None))
+            heappush(sim._heap, (time, seq, self._sweep, (), None))
 
     def _sweep(self) -> None:
         """Kernel callback: fire the head, then drain what's due inline.
@@ -135,6 +125,6 @@ class CompletionStrip:
                         continue
             # An earlier kernel event, the end of the run window, or
             # single-stepping: hand control back, keeping our slot.
-            queue._push_entry((time, head[1], self._sweep, (), None))
+            heappush(sim._heap, (time, head[1], self._sweep, (), None))
             return
         self._armed = False

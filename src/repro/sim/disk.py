@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..errors import SimulationError
-from .completion import CompletionStrip
 from .server import FifoServer
 from .simulator import Simulator
 
@@ -42,7 +41,7 @@ class Disk:
 
     __slots__ = (
         "sim", "bandwidth", "buffer_bytes", "write_latency", "name",
-        "bytes_written", "writes", "_drain", "_acks",
+        "bytes_written", "writes", "_drain",
     )
 
     def __init__(
@@ -68,11 +67,6 @@ class Disk:
         self._drain = FifoServer(
             sim, rate=bandwidth, name=f"{name}.drain", history_window=history_window
         )
-        # Ack callbacks are batched per disk: ack times never decrease
-        # (ack = max(now, drained_at - buffer_time) + write_latency, and
-        # both arguments of the max are non-decreasing), so a burst of
-        # buffered writes coalesces into one drain tick on the calendar.
-        self._acks = CompletionStrip(sim)
 
     def write(self, nbytes: int, fn: Callable[..., None] | None = None, *args: Any) -> float:
         """Buffered write of ``nbytes``; returns the ack (buffered) time.
@@ -96,7 +90,7 @@ class Disk:
         self.bytes_written += nbytes
         self.writes += 1
         if fn is not None:
-            self._acks.post_at(ack_time, fn, *args)
+            self.sim.post_at(ack_time, fn, *args)
         return ack_time
 
     @property

@@ -1,95 +1,30 @@
 """Event primitives for the discrete-event simulation kernel.
 
-The kernel is a **bucketed calendar queue**: events are ``(time, seq)``-
-ordered callbacks distributed over a ring of time buckets. ``seq`` is a
-monotonically increasing tie-breaker so that two events scheduled for the
-same instant fire in the order they were scheduled — this is what makes
-simulations bit-for-bit deterministic for a given seed. The calendar is a
-pure *storage* layout: delivery order is always the exact ``(time, seq)``
-total order, independent of bucket width, so golden traces are identical
-to the binary-heap kernel this replaced.
+The kernel is one binary heap (``heapq``) of ``(time, seq, fn, args,
+event-or-None)`` tuples. ``seq`` is a monotonically increasing
+tie-breaker, so two events scheduled for the same instant fire in the
+order they were scheduled — this is what makes simulations bit-for-bit
+deterministic for a given seed. ``seq`` is unique, so ordering
+comparisons run as C tuple comparisons on ``(time, seq)`` and never
+reach the callback.
 
-Layout (the queue is the hottest code in the whole simulator — profiled
-at >15% of a full protocol run):
-
-* **Ring**: ``NBUCKETS`` bucket lists of width ``1 / _winv`` seconds.
-  An event at time ``t`` lands in bucket ``int(t * _winv)``; a push is a
-  plain list append. Draining takes a whole bucket at once, sorts it
-  (Timsort on an almost-sorted few-entry list), and serves it as the
-  current *batch* — one heap-free scan per event instead of an
-  O(log n) sift per push **and** per pop.
-* **Occupancy heap** (``_ids``): a small heap of the occupied bucket
-  indices, pushed only on an empty-to-nonempty transition. Advancing to
-  the next nonempty bucket is a single ``heappop`` even when the
-  schedule is sparse — no slot scanning.
-* **Overflow tier** (``_overflow``): a plain entry heap for events
-  beyond the ring horizon (``NBUCKETS`` buckets ahead), e.g. tens-of-ms
-  retry timers. Overflow entries migrate into their bucket's batch when
-  the cursor reaches them, merged by a full ``(time, seq)`` sort.
-* **Reentry list** (``_reentry``): pushes into the bucket currently
-  being drained (zero/short delays). Entries here strictly precede
-  everything still in the ring or overflow tier (their bucket is at or
-  behind the cursor), and are merged into the live batch by sorted
-  insertion before the next event fires.
-* **Adaptive width**: every ``ADJUST_EVERY`` batches the queue compares
-  the observed event density against ``TARGET_PER_BUCKET`` and resizes
-  the bucket width (between ``1 / W_INV_MAX`` and ``1 / W_INV_MIN``),
-  re-bucketing in O(pending). Protocol runs sit near sub-µs NIC/CPU
-  service times while idle phases are timer-sparse; one static width
-  cannot serve both regimes. Bimodal schedules (dense sub-µs protocol
-  events interleaved with tens-of-ms WAN hops) can make the two signals
-  disagree forever — the density average asks for wide buckets, which
-  immediately reenter and trigger the narrow escape — so widening
-  resizes back off exponentially after each escape instead of flapping
-  every other adjustment period (each flap re-buckets all pending
-  entries; a WAN-stretched geo run used to spend ~10% of its wall clock
-  there).
-
-Every entry is a plain ``(time, seq, fn, args, event-or-None)`` tuple, so
-ordering comparisons run as C tuple comparisons and never reach the third
-element (``seq`` is unique). The last slot is ``None`` on the **fast
-path** (:meth:`EventQueue.push_fast`): events that will never be
-cancelled — message arrivals, queue completions, the ~95% case — pay one
-tuple and one append, no :class:`Event` object. Only cancellable timers
-go through :meth:`EventQueue.push`, which allocates the ``Event`` handle
-that :meth:`EventQueue.cancel` needs.
-
-Consumers that single-step (tests, :meth:`Simulator.step`) use
-:meth:`EventQueue.pop_entry` / :meth:`EventQueue.peek_entry`; the fused
-``Simulator.run`` loop drains the live batch in place. ``peek_entry``
-never consumes a live entry, so callbacks may peek mid-run to ask "what
-fires next?" — the completion strips in ``server.py`` rely on this to
-sweep several queued completions through one kernel event without
-breaking the total order.
+The last slot is ``None`` on the **fast path**
+(:meth:`EventQueue.push_fast`, ``Simulator.post`` / ``post_at``):
+events that will never be cancelled — message arrivals, queue
+completions, the ~95% case — pay one tuple and one ``heappush``, no
+:class:`Event` object. Only cancellable timers go through
+:meth:`EventQueue.push`, which allocates the ``Event`` handle that
+:meth:`EventQueue.cancel` needs. Cancelled entries stay in the heap as
+tombstones and are dropped when they reach the front.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable
 
 __all__ = ["Event", "EventQueue"]
-
-# Calendar geometry. NBUCKETS is a power of two so the ring index is a
-# mask; the horizon (NBUCKETS buckets) must comfortably exceed one
-# scheduling quantum of the protocols (sub-ms service times) at the
-# narrowest width: 16384 * 0.5 µs ≈ 8 ms.
-NBUCKETS = 16384
-_MASK = NBUCKETS - 1
-
-# Width bounds and the density the adaptive policy aims for. The
-# narrowest width (0.5 µs) keeps back-to-back NIC serializations of
-# small frames in distinct buckets; the widest (0.5 s) serves
-# timer-only idle phases.
-W_INV_MAX = 2e6
-W_INV_MIN = 2.0
-ADJUST_EVERY = 128
-TARGET_PER_BUCKET = 8.0
-# Widening backoff cap: after repeated reentry escapes, a widening
-# resize is attempted at most once per this many adjustment periods.
-WIDEN_BACKOFF_CAP = 64
 
 
 class Event:
@@ -114,7 +49,7 @@ class Event:
         fn: Callable[..., None],
         args: tuple[Any, ...] = (),
         cancelled: bool = False,
-        consumed: bool = False,  # set by EventQueue.pop(); guards late cancels
+        consumed: bool = False,  # set when popped; guards late cancels
     ) -> None:
         self.time = time
         self.seq = seq
@@ -139,91 +74,32 @@ class Event:
 
 
 class EventQueue:
-    """A calendar queue of scheduled callbacks with lazy cancellation.
+    """A binary heap of scheduled callbacks with lazy cancellation.
 
-    Cancelled events stay in their bucket until the drain reaches them,
-    at which point they are discarded. This keeps cancellation O(1)
-    while the drain stays a linear scan.
-
-    Ordering invariant (relied on everywhere): an entry is delivered
-    strictly after every entry with a smaller ``(time, seq)`` key,
-    regardless of which tier (batch, reentry, ring, overflow) it sits
-    in. Reentry entries have bucket <= cursor, so their times are
-    strictly below the start of any ring/overflow bucket > cursor; the
-    batch is consumed in sorted order with reentry merged in front of
-    the read index before the next event fires.
+    ``_cancelled`` counts the tombstones still in the heap, so ``len()``
+    is the number of live events in O(1).
     """
 
-    __slots__ = (
-        "_ring", "_ids", "_overflow", "_reentry", "_batch", "_bi",
-        "_cursor", "_winv", "_seq", "_cancelled",
-        "_adj_batches", "_adj_drained", "_adj_reentered", "_adj_t0",
-        "_adj_skip", "_adj_backoff",
-    )
+    __slots__ = ("_heap", "_seq", "_cancelled")
 
     def __init__(self) -> None:
-        # seq is an itertools.count: one C call per ticket instead of a
-        # load/add/store round-trip, shared with Simulator.post/post_at.
-        self._ring: list[list[tuple] | None] = [None] * NBUCKETS
-        self._ids: list[int] = []        # heap of occupied bucket indices
-        self._overflow: list[tuple] = []  # entry heap beyond the horizon
-        self._reentry: list[tuple] = []  # pushes at/behind the cursor bucket
-        self._batch: list[tuple] = []    # current bucket, sorted
-        self._bi = 0                     # next unread index into _batch
-        self._cursor = -1                # bucket currently (last) drained
-        self._winv = W_INV_MAX           # buckets per second (1 / width)
+        self._heap: list[tuple] = []
+        # seq is an itertools.count: one C call per ticket, shared with
+        # Simulator.post/post_at.
         self._seq = count()
-        self._cancelled = 0  # cancelled entries still buried in the queue
-        # Width-adaptation counters, reset every ADJUST_EVERY batches.
-        self._adj_batches = 0
-        self._adj_drained = 0
-        self._adj_reentered = 0
-        self._adj_t0 = 0.0
-        # Flap damping: adjustment periods left before the next widening
-        # resize may fire, and the backoff level the next reentry escape
-        # will re-arm it to (doubles per escape, capped).
-        self._adj_skip = 0
-        self._adj_backoff = 1
+        self._cancelled = 0
 
     def __len__(self) -> int:
-        n = len(self._batch) - self._bi + len(self._reentry) + len(self._overflow)
-        ring = self._ring
-        for b in self._ids:
-            n += len(ring[b & _MASK])  # type: ignore[arg-type]
-        return n - self._cancelled
+        return len(self._heap) - self._cancelled
 
     def __bool__(self) -> bool:
         return len(self) > 0
 
-    # ------------------------------------------------------------------
-    # Insertion
-    # ------------------------------------------------------------------
-    def _push_entry(self, entry: tuple) -> None:
-        """File ``entry`` into the tier its bucket falls in."""
-        b = int(entry[0] * self._winv)
-        d = b - self._cursor
-        if 0 < d < NBUCKETS:
-            ring = self._ring
-            s = b & _MASK
-            lst = ring[s]
-            if lst:
-                lst.append(entry)
-            else:
-                if lst is None:
-                    ring[s] = [entry]
-                else:
-                    lst.append(entry)
-                heapq.heappush(self._ids, b)
-        elif d <= 0:
-            self._reentry.append(entry)
-        else:
-            heapq.heappush(self._overflow, entry)
-
     def push(self, time: float, fn: Callable[..., None], args: tuple[Any, ...] = ()) -> Event:
         """Insert a cancellable callback firing at ``time``; returns its Event."""
         seq = next(self._seq)
-        event = Event(time=time, seq=seq, fn=fn, args=args)
-        self._push_entry((time, seq, fn, args, event))
+        event = Event(time, seq, fn, args)
+        heappush(self._heap, (time, seq, fn, args, event))
         return event
 
     def push_fast(self, time: float, fn: Callable[..., None], args: tuple[Any, ...] = ()) -> None:
@@ -231,7 +107,7 @@ class EventQueue:
 
         No :class:`Event` is allocated; the entry is a bare tuple.
         """
-        self._push_entry((time, next(self._seq), fn, args, None))
+        heappush(self._heap, (time, next(self._seq), fn, args, None))
 
     def cancel(self, event: Event) -> None:
         """Cancel ``event`` if it has not fired yet (idempotent).
@@ -244,193 +120,21 @@ class EventQueue:
             event.cancel()
             self._cancelled += 1
 
-    # ------------------------------------------------------------------
-    # Batch machinery (shared with the fused Simulator.run loop)
-    # ------------------------------------------------------------------
-    def _merge_reentry(self) -> None:
-        """Sort pending reentry pushes into the unread part of the batch."""
-        reentry = self._reentry
-        batch = self._batch
-        bi = self._bi
-        if bi < len(batch):
-            self._adj_reentered += len(reentry)
-            for entry in reentry:
-                insort(batch, entry, bi)
-            reentry.clear()
-        # else: the batch is spent; _next_batch drains reentry first.
-
-    def _next_batch(self) -> list[tuple] | None:
-        """Install the next bucket's entries as the current batch.
-
-        Returns the new (sorted, non-empty) batch, or None when the
-        queue is empty. Caller guarantees the current batch is fully
-        consumed (``_bi >= len(_batch)``).
-        """
-        reentry = self._reentry
-        if reentry:
-            # Entries at/behind the cursor bucket strictly precede
-            # anything still in the ring or overflow tier.
-            batch = sorted(reentry)
-            reentry.clear()
-            self._batch = batch
-            self._bi = 0
-            self._adj_drained += len(batch)
-            self._adj_reentered += len(batch)
-            return batch
-        self._adj_batches += 1
-        if self._adj_batches >= ADJUST_EVERY:
-            self._maybe_adjust()
-            if reentry:
-                # A resize reclassified stored entries whose bucket now
-                # falls at/behind the recomputed cursor; they precede
-                # whatever the re-bucketed ring/overflow holds. Not
-                # counted as "reentered": that counter is a bucket-width
-                # density signal and these moves say nothing about it.
-                batch = sorted(reentry)
-                reentry.clear()
-                self._batch = batch
-                self._bi = 0
-                self._adj_drained += len(batch)
-                return batch
-        ids = self._ids
-        overflow = self._overflow
-        winv = self._winv
-        if ids:
-            i = ids[0]
-            if overflow and overflow[0][0] * winv < i:
-                # The overflow tier reaches a bucket before the ring does.
-                i = int(overflow[0][0] * winv)
-                batch = []
-            else:
-                heapq.heappop(ids)
-                s = i & _MASK
-                batch = self._ring[s]  # type: ignore[assignment]
-                self._ring[s] = []
-        elif overflow:
-            i = int(overflow[0][0] * winv)
-            batch = []
-        else:
-            self._batch = []
-            self._bi = 0
-            return None
-        self._cursor = i
-        if overflow:
-            # Migrate overflow entries that belong to this bucket.
-            lim = i + 1
-            pop = heapq.heappop
-            while overflow and overflow[0][0] * winv < lim:
-                batch.append(pop(overflow))
-        batch.sort()
-        self._batch = batch
-        self._bi = 0
-        self._adj_drained += len(batch)
-        return batch
-
-    def _maybe_adjust(self) -> None:
-        """Re-tune the bucket width to the observed event density.
-
-        Narrowing (reentry escape, density overshoot) always applies:
-        narrow buckets are performance-safe, just sparser. Widening is
-        where a bimodal schedule flaps — the density average asks for
-        wide buckets that the dense mode immediately reenters out of —
-        so each reentry escape doubles a backoff counter and widening
-        resizes are skipped for that many adjustment periods. One calm
-        period (no resize wanted, negligible reentry) disarms the
-        backoff, so genuine regime changes still widen at full speed.
-        """
-        drained = self._adj_drained
-        reentered = self._adj_reentered
-        self._adj_batches = 0
-        self._adj_drained = 0
-        self._adj_reentered = 0
-        winv = self._winv
-        t = self._cursor / winv
-        span = t - self._adj_t0
-        self._adj_t0 = t
-        if reentered * 2 > drained:
-            # Buckets too wide: events keep landing at/behind the drain.
-            target = winv * 4.0
-            if target > W_INV_MAX:
-                target = W_INV_MAX
-            if target / winv > 2.0:
-                self._adj_backoff = min(self._adj_backoff * 2, WIDEN_BACKOFF_CAP)
-                self._adj_skip = self._adj_backoff
-                self._resize(target)
-            return
-        if span <= 0.0 or drained == 0:
-            return
-        target = drained / (span * TARGET_PER_BUCKET)
-        if target > W_INV_MAX:
-            target = W_INV_MAX
-        elif target < W_INV_MIN:
-            target = W_INV_MIN
-        ratio = target / winv
-        if ratio > 2.0:
-            self._resize(target)
-        elif ratio < 0.5:
-            if self._adj_skip > 0:
-                self._adj_skip -= 1
-                return
-            self._resize(target)
-        elif reentered * 8 < drained:
-            # Width fits and reentry is quiet: the schedule is unimodal
-            # again, so the next widening need not wait out the backoff.
-            self._adj_skip = 0
-            self._adj_backoff = 1
-
-    def _resize(self, winv: float) -> None:
-        """Re-bucket every stored entry under a new width. O(pending)."""
-        entries: list[tuple] = []
-        ring = self._ring
-        for b in self._ids:
-            s = b & _MASK
-            lst = ring[s]
-            if lst:
-                entries.extend(lst)
-                ring[s] = []
-        self._ids.clear()
-        entries.extend(self._overflow)
-        del self._overflow[:]
-        old_cursor = self._cursor
-        old_winv = self._winv
-        self._winv = winv
-        self._cursor = int(old_cursor / old_winv * winv) if old_cursor > 0 else -1
-        self._adj_t0 = self._cursor / winv
-        push_entry = self._push_entry
-        for entry in entries:
-            push_entry(entry)
-
-    # ------------------------------------------------------------------
-    # Single-step interface
-    # ------------------------------------------------------------------
     def peek_entry(self) -> tuple | None:
         """The next live entry without consuming it, or None if empty.
 
-        Never consumes a live entry, so this is safe to call from inside
-        a running callback (the completion strips do). Cancelled entries
-        at the front are scanned past; runs of them that end a spent
-        batch are discarded before refilling.
+        Safe to call from inside a running callback. Tombstones at the
+        front are discarded on the way, which changes no live count.
         """
-        while True:
-            if self._reentry:
-                self._merge_reentry()
-            batch = self._batch
-            bi = self._bi
-            n = len(batch)
-            while bi < n:
-                entry = batch[bi]
-                event = entry[4]
-                if event is not None and event.cancelled:
-                    bi += 1
-                    continue
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[4]
+            if event is None or not event.cancelled:
                 return entry
-            if bi > self._bi:
-                # Everything left in the batch was cancelled: drop it so
-                # the refill below doesn't strand the live count.
-                self._cancelled -= bi - self._bi
-                self._bi = bi
-            if self._next_batch() is None:
-                return None
+            heappop(heap)
+            self._cancelled -= 1
+        return None
 
     def pop_entry(self) -> tuple | None:
         """Remove and return the next live entry, or None if empty.
@@ -438,26 +142,17 @@ class EventQueue:
         The entry is ``(time, seq, fn, args, event-or-None)``; a non-None
         event is marked consumed (late cancels become no-ops).
         """
-        while True:
-            if self._reentry:
-                self._merge_reentry()
-            batch = self._batch
-            bi = self._bi
-            n = len(batch)
-            while bi < n:
-                entry = batch[bi]
-                bi += 1
-                event = entry[4]
-                if event is not None:
-                    if event.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    event.consumed = True
-                self._bi = bi
-                return entry
-            self._bi = bi
-            if self._next_batch() is None:
-                return None
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
+            event = entry[4]
+            if event is not None:
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                event.consumed = True
+            return entry
+        return None
 
     def peek_time(self) -> float | None:
         """Return the firing time of the next live event, or None if empty."""

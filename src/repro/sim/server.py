@@ -12,9 +12,9 @@ scripted.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from heapq import heappush
 from typing import Any, Callable
 
-from .completion import CompletionStrip
 from .simulator import Simulator
 
 __all__ = ["FifoServer"]
@@ -43,7 +43,7 @@ class FifoServer:
     __slots__ = (
         "sim", "rate", "name", "history_window", "busy_until",
         "total_busy_time", "jobs_served", "demand_served", "probe",
-        "_starts", "_ends", "_trim_at", "_completions",
+        "_starts", "_ends", "_trim_at",
     )
 
     def __init__(
@@ -71,10 +71,6 @@ class FifoServer:
         self._starts: list[float] = []
         self._ends: list[float] = []
         self._trim_at = _TRIM_THRESHOLD  # next history length to trim at
-        # Completion callbacks ride one armed kernel event per server
-        # instead of one per job (see completion.py); FIFO order is
-        # guaranteed here because finish times never decrease.
-        self._completions = CompletionStrip(sim)
 
     # ------------------------------------------------------------------
     # Submission
@@ -115,19 +111,10 @@ class FifoServer:
                 start=start, finish=finish, demand=demand,
             )
         if fn is not None:
-            # Completions are fire-and-forget and FIFO (finish >= every
-            # earlier finish: it starts at busy_until), so they ride the
-            # server's completion strip: the kernel seq is reserved here —
-            # the same draw post_at would have made — but only the strip's
-            # head occupies the calendar. CompletionStrip.post_at inlined
-            # (this is the per-message hot path of every NIC/CPU/disk).
-            strip = self._completions
+            # Simulator.post_at inlined (this is the per-message hot path
+            # of every NIC/CPU/disk); finish >= now, so no past-time check.
             sim = self.sim
-            seq = next(sim._seq)
-            strip._pending.append((finish, seq, fn, args))
-            if not strip._armed:
-                strip._armed = True
-                sim._queue._push_entry((finish, seq, strip._sweep, (), None))
+            heappush(sim._heap, (finish, next(sim._seq), fn, args, None))
         return finish
 
     # ------------------------------------------------------------------

@@ -7,26 +7,24 @@ There is no wall-clock anywhere in the library: simulated seconds are the
 only notion of time, which is what makes throughput/latency experiments
 reproducible and hardware-independent (see DESIGN.md, substitution rule).
 
-The queue is the calendar queue of ``events.py``: events live in time
-buckets and :meth:`Simulator.run` drains one sorted bucket *batch* at a
-time instead of heap-popping per event. The batch being drained lives on
-the queue itself (``_batch`` plus the ``_bi`` read index, kept current
-between callbacks), so ``EventQueue.peek_entry`` — and therefore the
-completion strips in ``server.py`` — always see the exact global
-``(time, seq)`` frontier even mid-run.
+The queue is the binary heap of ``events.py``: :meth:`Simulator.run` pops
+one ``(time, seq)``-ordered entry per event, so a callback that peeks the
+queue mid-run sees the exact global frontier.
 """
 
 from __future__ import annotations
 
 import sys
-from heapq import heappush as _heappush
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable
 
 from ..errors import SimulationError
-from .events import _MASK, NBUCKETS as _NB, Event, EventQueue
+from .events import Event, EventQueue
 from .rng import RandomStreams
 
 __all__ = ["Simulator", "observe_simulators"]
+
+_INF = float("inf")
 
 # Observers notified whenever a Simulator is constructed. The observability
 # layer (``repro.obs``) uses this to attach probes/profilers to simulators
@@ -94,26 +92,21 @@ class Simulator:
     (2.0, ['hello'])
     """
 
-    # Fixed layout: `self.now` / the queue aliases / `self._probe` are read
+    # Fixed layout: `self.now` / the heap alias / `self._probe` are read
     # on every simulated event, and slot access is measurably cheaper than
     # a dict lookup at that frequency.
     __slots__ = (
-        "now", "random", "_queue", "_ring", "_ids", "_reentry", "_overflow",
-        "_seq", "_events_executed", "_running", "_run_until", "_probe",
+        "now", "random", "_queue", "_heap", "_seq", "_events_executed",
+        "_running", "_run_until", "_probe",
     )
 
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.random = RandomStreams(seed)
         self._queue = EventQueue()
-        # Aliases of the queue's tier lists and seq counter: EventQueue
-        # never rebinds them (resizes mutate in place), so post/post_at can
-        # skip a pointer hop on the hottest scheduling path. The width and
-        # cursor DO change on resize and are always read via the queue.
-        self._ring = self._queue._ring
-        self._ids = self._queue._ids
-        self._reentry = self._queue._reentry
-        self._overflow = self._queue._overflow
+        # Aliases of the queue's heap and seq counter (never rebound), so
+        # post/post_at skip a pointer hop on the hottest scheduling path.
+        self._heap = self._queue._heap
         self._seq = self._queue._seq
         self._events_executed = 0
         self._running = False
@@ -172,30 +165,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay!r} seconds in the past")
-        # EventQueue._push_entry inlined (same package): one call frame
-        # less on the single hottest function in a protocol run. The
-        # common case — a near-future push into a ring bucket — is a
-        # bare list append.
-        t = self.now + delay
-        queue = self._queue
-        b = int(t * queue._winv)
-        d = b - queue._cursor
-        if 0 < d < _NB:
-            ring = self._ring
-            s = b & _MASK
-            lst = ring[s]
-            if lst:
-                lst.append((t, next(self._seq), fn, args, None))
-            else:
-                if lst is None:
-                    ring[s] = [(t, next(self._seq), fn, args, None)]
-                else:
-                    lst.append((t, next(self._seq), fn, args, None))
-                _heappush(self._ids, b)
-        elif d <= 0:
-            self._reentry.append((t, next(self._seq), fn, args, None))
-        else:
-            _heappush(self._overflow, (t, next(self._seq), fn, args, None))
+        _heappush(self._heap, (self.now + delay, next(self._seq), fn, args, None))
 
     def post_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
         """Fast path: run ``fn(*args)`` at absolute ``time``; not cancellable."""
@@ -203,25 +173,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r}, clock is already at t={self.now!r}"
             )
-        queue = self._queue
-        b = int(time * queue._winv)
-        d = b - queue._cursor
-        if 0 < d < _NB:
-            ring = self._ring
-            s = b & _MASK
-            lst = ring[s]
-            if lst:
-                lst.append((time, next(self._seq), fn, args, None))
-            else:
-                if lst is None:
-                    ring[s] = [(time, next(self._seq), fn, args, None)]
-                else:
-                    lst.append((time, next(self._seq), fn, args, None))
-                _heappush(self._ids, b)
-        elif d <= 0:
-            self._reentry.append((time, next(self._seq), fn, args, None))
-        else:
-            _heappush(self._overflow, (time, next(self._seq), fn, args, None))
+        _heappush(self._heap, (time, next(self._seq), fn, args, None))
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
@@ -263,221 +215,59 @@ class Simulator:
         at or before ``until`` are still pending, the clock stays at the
         last executed event.
 
-        This is the simulator's hottest loop, so it is fused with the
-        calendar queue (same package): the loop drains the queue's
-        current sorted batch by index, keeping ``queue._bi`` current so
-        that callbacks peeking the queue (completion strips) see the
-        exact frontier. Pushes into the batch being drained land on the
-        reentry list and are merge-sorted in front of the read index
-        before the next event fires. Semantics are identical to calling
-        :meth:`step` in a loop.
-
-        ``max_events`` counts kernel dispatches; completions swept in a
-        batch by a completion strip ride on one dispatch (they still
-        count towards :attr:`events_executed`).
+        Semantics are identical to calling :meth:`step` in a loop; the
+        loop is inlined because it is the simulator's hottest code.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         self._run_until = until
-        executed = 0
+        heap = self._heap
         queue = self._queue
-        reentry = self._reentry
-        next_batch = queue._next_batch
-        merge = queue._merge_reentry
-        # Hoist the optional budget out of the loop: an absent budget
-        # becomes maxsize, so the body carries one plain comparison.
-        # No past-time check in any loop: every insert path
-        # (schedule/at/post/post_at) already rejects times behind the
-        # clock, and batches are consumed in sorted order.
+        # An absent bound becomes one that never trips, so the loop body
+        # carries two plain comparisons. No past-time check: every insert
+        # path (schedule/at/post/post_at) already rejects times behind the
+        # clock.
+        limit = until if until is not None else _INF
         budget = max_events if max_events is not None else sys.maxsize
+        executed = 0
         try:
-            if until is None and max_events is None:
-                # Run-to-empty variant (the overwhelmingly common call):
-                # no budget or window to compare against, and executed
-                # events are counted per batch segment instead of per
-                # event (segment length minus cancelled skips).
-                while True:
-                    if reentry:
-                        merge()
-                    batch = queue._batch
-                    bi = queue._bi
-                    n = len(batch)
-                    if bi >= n:
-                        if next_batch() is None:
-                            break
-                        batch = queue._batch
-                        bi = 0
-                        n = len(batch)
-                    start = bi
-                    skipped = 0
-                    # Probe re-read once per batch: a batch spans one
-                    # bucket (a handful of events), so a mid-run attach
-                    # takes effect within microseconds of simulated time.
-                    probe = self._probe
-                    wants = probe is not None and probe.wants("sim.event")
-                    try:
-                        while bi < n:
-                            entry = batch[bi]
-                            bi += 1
-                            queue._bi = bi
-                            time, seq, fn, args, event = entry
-                            if event is not None:
-                                if event.cancelled:
-                                    skipped += 1
-                                    continue
-                                event.consumed = True
-                            self.now = time
-                            if wants:
-                                probe.emit(
-                                    "sim.event",
-                                    time,
-                                    getattr(fn, "__qualname__", None) or repr(fn),
-                                    seq=seq,
-                                )
-                            # Empty-args callbacks (completion ticks, timer
-                            # pokes) take the plain CALL path, not
-                            # CALL_FUNCTION_EX.
-                            if args:
-                                fn(*args)
-                            else:
-                                fn()
-                            if queue._batch is not batch:
-                                # A callback's peek exhausted this batch
-                                # and installed the next one; re-enter the
-                                # outer loop to pick it up.
-                                break
-                            if reentry:
-                                merge()
-                                n = len(batch)
-                    finally:
-                        # try/finally is free on the no-exception path
-                        # (zero-cost exceptions); this keeps the segment
-                        # accounting exact when a callback raises.
-                        executed += bi - start - skipped
-                        if skipped:
-                            queue._cancelled -= skipped
-            elif until is None:
-                # Unbounded-time variant with an event budget.
-                stop = False
-                while not stop:
-                    if reentry:
-                        merge()
-                    batch = queue._batch
-                    bi = queue._bi
-                    n = len(batch)
-                    if bi >= n:
-                        if next_batch() is None:
-                            break
-                        batch = queue._batch
-                        bi = 0
-                        n = len(batch)
-                    probe = self._probe
-                    wants = probe is not None and probe.wants("sim.event")
-                    while bi < n:
-                        if executed >= budget:
-                            stop = True  # budget spent: events remain queued
-                            break
-                        entry = batch[bi]
-                        bi += 1
-                        queue._bi = bi
-                        time, seq, fn, args, event = entry
-                        if event is not None:
-                            if event.cancelled:
-                                queue._cancelled -= 1
-                                continue
-                            event.consumed = True
-                        self.now = time
-                        executed += 1
-                        if wants:
-                            probe.emit(
-                                "sim.event",
-                                time,
-                                getattr(fn, "__qualname__", None) or repr(fn),
-                                seq=seq,
-                            )
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                        if queue._batch is not batch:
-                            break
-                        if reentry:
-                            merge()
-                            n = len(batch)
-            else:
-                # Bounded-time variant (with or without a budget). The
-                # window check runs before the budget check so that a
-                # simultaneously exhausted budget cannot mask "nothing
-                # left to run before `until`" (the epilogue below peeks
-                # the queue either way, so the clock lands on `until`
-                # exactly when the window is drained).
-                stop = False
-                while not stop:
-                    if reentry:
-                        merge()
-                    batch = queue._batch
-                    bi = queue._bi
-                    n = len(batch)
-                    if bi >= n:
-                        if next_batch() is None:
-                            break
-                        batch = queue._batch
-                        bi = 0
-                        n = len(batch)
-                    probe = self._probe
-                    wants = probe is not None and probe.wants("sim.event")
-                    while bi < n:
-                        entry = batch[bi]
-                        if entry[0] > until:
-                            # Reentry is merged before every event, so no
-                            # earlier event can still be pending.
-                            stop = True
-                            break
-                        if executed >= budget:
-                            stop = True
-                            break
-                        bi += 1
-                        queue._bi = bi
-                        time, seq, fn, args, event = entry
-                        if event is not None:
-                            if event.cancelled:
-                                queue._cancelled -= 1
-                                continue
-                            event.consumed = True
-                        self.now = time
-                        executed += 1
-                        if wants:
-                            probe.emit(
-                                "sim.event",
-                                time,
-                                getattr(fn, "__qualname__", None) or repr(fn),
-                                seq=seq,
-                            )
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                        if queue._batch is not batch:
-                            break
-                        if reentry:
-                            merge()
-                            n = len(batch)
-                if until > self.now:
-                    # Advance the clock to the end of the window iff no
-                    # runnable event at or before `until` remains — this
-                    # holds regardless of WHY the loop stopped, which is
-                    # what fixes the budget-and-window-simultaneous case.
-                    next_time = queue.peek_time()
-                    if next_time is None or next_time > until:
-                        self.now = until
-                        # Drag the calendar cursor up to the clock so the
-                        # idle window is not re-scanned bucket by bucket.
-                        # Safe: every remaining entry has time > until,
-                        # i.e. bucket >= int(until * winv) > b.
-                        b = int(until * queue._winv) - 1
-                        if b > queue._cursor:
-                            queue._cursor = b
+            while heap:
+                entry = _heappop(heap)
+                time, seq, fn, args, event = entry
+                if time > limit or executed >= budget:
+                    # Put it back (same key, so the order is unchanged):
+                    # the window or the budget is spent.
+                    _heappush(heap, entry)
+                    break
+                if event is not None:
+                    if event.cancelled:
+                        queue._cancelled -= 1
+                        continue
+                    event.consumed = True
+                self.now = time
+                executed += 1
+                probe = self._probe
+                if probe is not None and probe.wants("sim.event"):
+                    probe.emit(
+                        "sim.event",
+                        time,
+                        getattr(fn, "__qualname__", None) or repr(fn),
+                        seq=seq,
+                    )
+                # Empty-args callbacks (timer pokes) take the plain CALL
+                # path, not CALL_FUNCTION_EX.
+                if args:
+                    fn(*args)
+                else:
+                    fn()
+            if until is not None and until > self.now:
+                # Advance the clock to the end of the window iff no
+                # runnable event at or before `until` remains, whichever
+                # bound stopped the loop.
+                next_time = queue.peek_time()
+                if next_time is None or next_time > until:
+                    self.now = until
         finally:
             self._events_executed += executed
             self._running = False
@@ -485,19 +275,14 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
-        """Total number of events executed since construction.
-
-        Includes completions swept in batches by the resource models'
-        completion strips (each sweep is one kernel dispatch but counts
-        every completion it fires).
-        """
+        """Total number of events executed since construction."""
         return self._events_executed
 
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events currently queued.
 
-        Completions held by a resource's completion strip are represented
-        by that strip's single armed kernel event.
+        Every queued callback counts once, resource completions included:
+        a server with five jobs in flight holds five pending events.
         """
         return len(self._queue)

@@ -26,30 +26,88 @@ _DELAYS = [0.0, 1e-7, 5e-7, 3e-6, 5e-5, 2e-3, 0.04, 0.2, 5.0]
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_calendar_queue_matches_reference_heap(data):
-    """Interleaved pushes and pops deliver the exact (time, seq) heap order.
+    """Interleaved pushes, cancels and pops deliver the exact (time, seq) order.
 
-    The calendar layout (buckets, overflow tier, reentry list, adaptive
-    width) is storage only: for any schedule it must be indistinguishable
-    from a sorted heap of (time, seq) keys.
+    For any schedule the queue must be indistinguishable from a sorted
+    reference of the live (time, seq) keys, and ``len`` must count only
+    the live entries.
     """
     import heapq
 
     q = EventQueue()
-    ref = []  # reference heap of (time, seq)
+    ref = []  # reference heap of live (time, seq)
+    handles = []  # cancellable events not yet cancelled
     now = 0.0
     for _ in range(data.draw(st.integers(10, 200))):
-        if ref and data.draw(st.booleans()):
+        action = data.draw(st.sampled_from(["pop", "push", "timer", "cancel"]))
+        if action == "pop" and ref:
             entry = q.pop_entry()
             assert (entry[0], entry[1]) == heapq.heappop(ref)
             now = entry[0]
+        elif action == "cancel" and handles:
+            victim = handles.pop(data.draw(st.integers(0, len(handles) - 1)))
+            q.cancel(victim)
+            if not victim.consumed:
+                ref.remove((victim.time, victim.seq))
+                heapq.heapify(ref)
         else:
             t = now + data.draw(st.sampled_from(_DELAYS))
-            q.push_fast(t, lambda: None)
-            heapq.heappush(ref, (t, next(q._seq) - 1))
+            if action == "timer":
+                handles.append(q.push(t, lambda: None))
+                heapq.heappush(ref, (t, handles[-1].seq))
+            else:
+                q.push_fast(t, lambda: None)
+                heapq.heappush(ref, (t, next(q._seq) - 1))
+        assert len(q) == len(ref)
     while ref:
         entry = q.pop_entry()
         assert (entry[0], entry[1]) == heapq.heappop(ref)
     assert q.pop_entry() is None
+    assert len(q) == 0
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_same_instant_pushes_during_a_run_fire_in_schedule_order(data):
+    """Callbacks that schedule more work at their own instant (delay 0) or
+    later, and cancel pending timers, still see the (time, seq) order.
+
+    Every callback records the key it was scheduled under; the fired
+    sequence must equal the sorted keys of all uncancelled events."""
+    sim = Simulator()
+    fired = []
+    scheduled = {}  # seq-order ticket -> (time, ticket)
+    timers = []
+    tickets = iter(range(10**6))
+
+    def schedule(delay, cancellable):
+        ticket = next(tickets)
+        key = (sim.now + delay, ticket)
+        scheduled[ticket] = key
+        if cancellable:
+            timers.append((sim.schedule(delay, callback, key), ticket))
+        else:
+            sim.post(delay, callback, key)
+
+    def callback(key):
+        assert sim.now == key[0]
+        fired.append(key)
+        for _ in range(data.draw(st.integers(0, 3))):
+            if timers and data.draw(st.booleans()):
+                event, ticket = timers.pop(data.draw(st.integers(0, len(timers) - 1)))
+                if not event.consumed:
+                    sim.cancel(event)
+                    del scheduled[ticket]
+            elif len(scheduled) < 120:
+                schedule(data.draw(st.sampled_from([0.0, 0.0, 1e-6, 2e-3])),
+                         data.draw(st.booleans()))
+
+    for _ in range(data.draw(st.integers(1, 10))):
+        schedule(data.draw(st.sampled_from(_DELAYS)), data.draw(st.booleans()))
+    sim.run()
+    assert fired == sorted(scheduled.values())
+    assert sim.events_executed == len(fired)
+    assert sim.pending_events == 0
 
 
 @given(

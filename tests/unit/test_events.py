@@ -130,52 +130,22 @@ def test_simulator_cancel_after_fire_keeps_pending_count_sane():
 
 
 # ---------------------------------------------------------------------------
-# Calendar-queue mechanics: batches, tiers, and cancellation accounting
+# Heap mechanics: peeks, tombstones, and cancellation accounting
 # ---------------------------------------------------------------------------
-def _counting_next_batch(monkeypatch, installs):
-    """Patch EventQueue._next_batch to count batch installations."""
-    real = EventQueue._next_batch
-
-    def counting(self):
-        batch = real(self)
-        if batch is not None:
-            installs.append(len(batch))
-        return batch
-
-    monkeypatch.setattr(EventQueue, "_next_batch", counting)
-
-
-def test_peek_is_a_pure_read(monkeypatch):
-    installs = []
-    _counting_next_batch(monkeypatch, installs)
+def test_peek_is_a_pure_read():
     q = EventQueue()
     q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
     entry = q.peek_entry()
     assert entry[0] == 1.0
     # Repeated peeks return the same entry without consuming it and
-    # without touching the calendar again.
-    batches_after_first_peek = len(installs)
+    # without reordering the queue.
+    stored = list(q._heap)
     assert q.peek_entry() is entry
-    assert len(installs) == batches_after_first_peek
+    assert q._heap == stored
     assert len(q) == 2
     assert q.pop_entry() is entry  # pop consumes exactly what peek saw
     assert len(q) == 1
-
-
-def test_same_bucket_burst_is_one_batch_install(monkeypatch):
-    # All entries land in one bucket (same time), so draining the queue
-    # installs a single batch — the structural win over a per-event heap.
-    installs = []
-    _counting_next_batch(monkeypatch, installs)
-    q = EventQueue()
-    for _ in range(100):
-        q.push_fast(1e-6, lambda: None)
-    drained = 0
-    while q.pop_entry() is not None:
-        drained += 1
-    assert drained == 100
-    assert installs == [100]
 
 
 def test_cancelled_entries_are_skipped_with_exact_accounting():
@@ -186,27 +156,28 @@ def test_cancelled_entries_are_skipped_with_exact_accounting():
     keep_b = q.push(1e-6, fired.append, ("b",))
     q.cancel(doomed)
     assert len(q) == 2
-    # peek scans past the cancelled middle entry without consuming it...
+    # peek returns the live head without consuming it...
     assert q.peek_entry()[4] is keep_a
     assert len(q) == 2
-    # ...and pops drop it exactly once, leaving the live count exact.
+    # ...and pops drop the tombstone exactly once, leaving the live
+    # count exact.
     assert q.pop_entry()[4] is keep_a
     assert q.pop_entry()[4] is keep_b
     assert len(q) == 0
     assert q._cancelled == 0
+    assert q._heap == []
     assert fired == []
 
 
-def test_wholly_cancelled_batch_is_flushed_by_peek():
+def test_peek_discards_cancelled_front_entries():
     q = EventQueue()
     doomed = q.push(1e-6, lambda: None)
-    live = q.push(1.0, lambda: None)  # far enough out to be a later bucket
+    live = q.push(1.0, lambda: None)
     q.cancel(doomed)
-    entry = q.peek_entry()
-    assert entry[4] is live
-    # The cancelled batch was discarded during the refill, so the debt
-    # counter is settled rather than left to offset a buried tombstone.
+    assert q.peek_entry()[4] is live
+    # The tombstone left the heap and its debt was settled with it.
     assert q._cancelled == 0
+    assert len(q._heap) == 1
     assert len(q) == 1
 
 
@@ -218,32 +189,15 @@ def test_push_fast_allocates_no_event():
     assert entry[4] is None
 
 
-def test_far_future_events_use_overflow_tier():
-    from repro.sim.events import NBUCKETS
-
-    q = EventQueue()
-    horizon = NBUCKETS / q._winv  # ring horizon at the initial width
-    q.push_fast(horizon * 10, lambda: None)
-    assert len(q._overflow) == 1
-    assert q._ids == []  # nothing occupies the ring
-    q.push_fast(1e-6, lambda: None)
-    assert len(q._ids) == 1
-    # Delivery order is still the (time, seq) total order across tiers,
-    # and the overflow entry migrates out when the cursor reaches it.
-    assert q.pop_entry()[0] == 1e-6
-    assert q.pop_entry()[0] == horizon * 10
-    assert q._overflow == []
-    assert q.pop_entry() is None
-
-
 def test_reentry_push_during_drain_keeps_total_order():
     q = EventQueue()
     q.push_fast(1e-7, lambda: None)  # seq 0
-    q.push_fast(4e-7, lambda: None)  # seq 1, same bucket at the initial width
+    q.push_fast(4e-7, lambda: None)  # seq 1
     first = q.pop_entry()
     assert first[0] == 1e-7
-    # The bucket is now being drained; a push into it lands on the
-    # reentry list and must still fire in (time, seq) position.
+    # A push made after the drain started, landing between the entries
+    # already popped and those still queued, fires in (time, seq)
+    # position.
     q.push_fast(2e-7, lambda: None)  # seq 2, between the two above
     assert q.peek_entry()[0] == 2e-7
     assert [q.pop_entry()[0] for _ in range(2)] == [2e-7, 4e-7]
@@ -251,9 +205,9 @@ def test_reentry_push_during_drain_keeps_total_order():
 
 
 def test_calendar_order_matches_reference_heap_on_random_schedules():
-    # The calendar layout is storage only: delivery must be the exact
-    # (time, seq) total order a plain sorted heap would produce, for any
-    # mix of delays, cancels, and interleaved pops.
+    # Delivery must be the exact (time, seq) total order a plain sorted
+    # reference produces, for any mix of delays, cancels, and
+    # interleaved pops.
     import heapq
     import random
 
@@ -288,6 +242,7 @@ def test_calendar_order_matches_reference_heap_on_random_schedules():
                 popped.append((entry[0], entry[1]))
                 expected.append(heapq.heappop(reference))
                 now = entry[0]
+            assert len(q) == len(reference)
         while (entry := q.pop_entry()) is not None:
             popped.append((entry[0], entry[1]))
             expected.append(heapq.heappop(reference))

@@ -70,6 +70,32 @@ def test_simulator_emits_event_fired_probes():
     assert "lambda" in fired[0].source
 
 
+def test_event_probe_names_the_real_callback():
+    # Every completion is its own kernel event, so the probe reports the
+    # callback that ran (a NIC ingress completion is Node.deliver) and
+    # emits exactly one record per executed event.
+    from repro.sim.node import Node
+
+    sim = Simulator()
+    net = Network(sim)
+    net.add_node(Node(sim, "a"))
+    net.add_node(Node(sim, "b"))
+    received = []
+    net.node("b").register("p", lambda src, msg: received.append(msg))
+    bus = ProbeBus()
+    fired = []
+    bus.subscribe(fired.append, kind=EVENT_FIRED)
+    sim.attach_probe(bus)
+    for i in range(5):
+        net.send("a", "b", "p", i, 1000)
+    sim.run()
+    assert received == [0, 1, 2, 3, 4]
+    sources = [event.source for event in fired]
+    assert sources.count("Node.deliver") == 5
+    assert not any("_sweep" in source for source in sources)
+    assert len(fired) == sim.events_executed
+
+
 def test_server_emits_busy_probes():
     sim = Simulator()
     server = FifoServer(sim, rate=100.0, name="srv")

@@ -122,38 +122,8 @@ def test_different_streams_are_independent():
 
 
 # ---------------------------------------------------------------------------
-# Fused run loop: batch drains, not per-event heap operations
+# The run loop: windows, tombstones, and per-completion events
 # ---------------------------------------------------------------------------
-def _count_batch_installs(monkeypatch, installs):
-    from repro.sim.events import EventQueue
-
-    real = EventQueue._next_batch
-
-    def counting(self):
-        batch = real(self)
-        if batch is not None:
-            installs.append(len(batch))
-        return batch
-
-    monkeypatch.setattr(EventQueue, "_next_batch", counting)
-
-
-def test_run_drains_a_same_time_burst_as_one_batch(monkeypatch):
-    installs = []
-    _count_batch_installs(monkeypatch, installs)
-    sim = Simulator()
-    fired = []
-    for i in range(100):
-        sim.post(1e-3, fired.append, i)
-    sim.run()
-    assert fired == list(range(100))
-    # One bucket, one sorted batch: the fused loop pays a single calendar
-    # scan for the whole burst (the pre-calendar loop paid an O(log n)
-    # heap pop per event).
-    assert installs == [100]
-    assert sim.events_executed == 100
-
-
 def test_run_until_leaves_later_events_stored():
     sim = Simulator()
     fired = []
@@ -162,8 +132,8 @@ def test_run_until_leaves_later_events_stored():
     sim.post(10.0, fired.append, "late")
     sim.run(until=1.0)
     assert fired == list(range(50))
-    # The event beyond ``until`` is peeked but never consumed: it stays
-    # stored, and a later run picks it up.
+    # The event beyond ``until`` is never consumed: it stays stored, and
+    # a later run picks it up.
     assert sim.pending_events == 1
     sim.run()
     assert fired[-1] == "late"
@@ -181,6 +151,28 @@ def test_cancelled_event_is_skipped_without_dispatch():
     # The tombstone is discarded inside the drain, not dispatched:
     assert sim.events_executed == 1
     assert sim.pending_events == 0
+
+
+def test_server_completions_are_one_kernel_event_each():
+    from repro.sim import FifoServer
+
+    sim = Simulator()
+    srv = FifoServer(sim, rate=1.0)
+    fired = []
+    for i in range(4):
+        srv.submit(1.0, fired.append, i)  # completes at t = 1, 2, 3, 4
+    assert sim.pending_events == 4
+    # A budget counts completions one by one...
+    sim.run(max_events=1)
+    assert fired == [0]
+    assert sim.pending_events == 3
+    # ...and so does a window.
+    sim.run(until=2.5)
+    assert fired == [0, 1]
+    assert sim.pending_events == 2
+    sim.run()
+    assert fired == [0, 1, 2, 3]
+    assert sim.events_executed == 4
 
 
 # ---------------------------------------------------------------------------
